@@ -14,7 +14,7 @@ content-addressed result cache.  Nothing calls a driver directly anymore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentReport
@@ -52,6 +52,14 @@ __all__ = [
 _PER_GPU = (Scenario(gpus=("V100",)), Scenario(gpus=("P100",)))
 
 
+def _auto(scenarios: Tuple[Scenario, ...]) -> Tuple[Scenario, ...]:
+    """Default points of an analytic-capable experiment: ``backend="auto"``
+    runs eligible barrier ladders through the closed forms, which the
+    engine oracle pins bit-identical, and everything else on the engine.
+    ``--backend engine`` still forces the event-precise path."""
+    return tuple(replace(s, backend="auto") for s in scenarios)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one reproduced table/figure."""
@@ -67,7 +75,8 @@ class ExperimentSpec:
     # Execution backends this experiment's driver can route its sweeps
     # through.  Every driver runs on the event-precise engine; only the
     # sync-sweep drivers (uniform barrier ladders) also accept the
-    # vectorized analytic backend.  A requested backend outside this set
+    # vectorized analytic backend, and their default scenarios run
+    # ``auto`` (see ``_auto``).  A requested backend outside this set
     # falls back to the engine with a provenance note.
     backends: Tuple[str, ...] = ("engine",)
 
@@ -90,25 +99,25 @@ _SPECS: List[ExperimentSpec] = [
     ),
     ExperimentSpec(
         "fig5", "Grid synchronization heat-maps", run_fig5,
-        default_scenarios=_PER_GPU, tags=("grid", "sync", "heatmap"),
+        default_scenarios=_auto(_PER_GPU), tags=("grid", "sync", "heatmap"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig7", "Multi-grid synchronization (P100 x PCIe)", run_fig7,
-        default_scenarios=(FIG7_SCENARIO,),
+        default_scenarios=_auto((FIG7_SCENARIO,)),
         tags=("multigrid", "sync", "multi-gpu", "pcie"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig8", "Multi-grid synchronization (V100 DGX-1)", run_fig8,
-        default_scenarios=(Scenario(gpus=("V100",)),),
+        default_scenarios=_auto((Scenario(gpus=("V100",)),)),
         tags=("multigrid", "sync", "multi-gpu", "nvlink", "smoke"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig9", "Implicit vs CPU-side vs multi-grid barriers across DGX-1",
         run_fig9,
-        default_scenarios=(Scenario(gpus=("V100",)),),
+        default_scenarios=_auto((Scenario(gpus=("V100",)),)),
         tags=("launch", "multigrid", "multi-gpu"),
         backends=("engine", "analytic"),
     ),
@@ -116,7 +125,7 @@ _SPECS: List[ExperimentSpec] = [
         "sync_methods",
         "Multi-device synchronization methods: strategy sweep",
         run_sync_methods,
-        default_scenarios=SYNC_METHODS_SCENARIOS,
+        default_scenarios=_auto(SYNC_METHODS_SCENARIOS),
         tags=("sync", "multigrid", "multi-gpu", "strategy", "smoke"),
         backends=("engine", "analytic"),
     ),

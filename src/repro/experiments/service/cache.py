@@ -6,13 +6,15 @@ package changes :func:`code_version` and therefore every key, so the
 cache can never serve results produced by different code.
 
 Many writers may race on one key (shared cache dir, duplicated points
-across sweeps, several sweep shards).  A claim file, created with
-``O_EXCL`` next to the entry, elects the single computing writer;
-everyone else waits for the published result.  Claims are advisory: a
-claim whose owning pid is dead (worker crash) or older than the TTL is
-*taken over*, and a waiter that exhausts its patience computes anyway —
-duplicate work is always preferred over a deadlock.  Corrupt entries
-are quarantined to ``*.corrupt`` (warned once), never re-parsed forever.
+across sweeps, several sweep shards).  A claim file next to the entry,
+hard-linked into place only once its owner record is complete (the link
+fails if the claim exists, like ``O_EXCL``), elects the single computing
+writer; everyone else waits for the published result.  Claims are
+advisory: a claim whose owning pid is dead (worker crash) or older than
+the TTL is *taken over*, and a waiter that exhausts its patience computes
+anyway — duplicate work is always preferred over a deadlock.  Corrupt
+entries are quarantined to ``*.corrupt`` (warned once), never re-parsed
+forever.
 """
 
 from __future__ import annotations
@@ -151,21 +153,31 @@ _CLAIM_POLL_S = 0.02
 
 
 class CacheClaim:
-    """Advisory ``O_EXCL`` claim electing one computing writer per key."""
+    """Advisory claim file electing one computing writer per key."""
 
     def __init__(self, entry_path: Path):
         self.path = entry_path.with_name(entry_path.name + ".claim")
         self.held = False
 
     def acquire(self) -> bool:
+        # The owner record is written under a private name and hard-linked
+        # into place, so the link is the exclusive election and a rival
+        # never reads a live claim half-written (``is_stale`` takes a torn
+        # claim for a dead owner's).
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}-{id(self)}.tmp")
         try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            with open(tmp, "xb") as fh:
+                fh.write(json.dumps({"pid": os.getpid(), "time": time.time()}).encode())
+        except OSError:
+            return True  # unwritable dir: run uncoordinated (store will warn)
+        try:
+            os.link(tmp, self.path)
         except FileExistsError:
             return False
         except OSError:
-            return True  # unwritable dir: run uncoordinated (store will warn)
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"pid": os.getpid(), "time": time.time()}, fh)
+            return True  # no hard links here: run uncoordinated
+        finally:
+            os.unlink(tmp)
         self.held = True
         return True
 

@@ -119,10 +119,15 @@ def execute_point(
         claim = cache.CacheClaim(path)
         if not claim.acquire():
             report, _ = cache.await_claimed_result(path, claim)
-            if report is not None:
-                return PointResult(
-                    exp_id, scenario, report=report, cached=True, attempts=attempt
-                )
+        if report is None:
+            # Look again once the claim is ours: a rival may have published
+            # and released between the lookup above and our acquire.
+            report = cache.cache_load(path)
+        if report is not None:
+            claim.release()
+            return PointResult(
+                exp_id, scenario, report=report, cached=True, attempts=attempt
+            )
     try:
         try:
             faults.apply_driver_faults(exp_id, desc, attempt)

@@ -93,8 +93,10 @@ def make_input(size_bytes: int, seed: int = 0) -> InputData:
     """
     n = max(1, size_bytes // 8)
     if size_bytes <= MATERIALIZE_LIMIT_BYTES:
-        rng = np.random.default_rng(seed)
-        return rng.uniform(0.0, 1.0, size=n)
+        # Bit-identical to ``uniform(0.0, 1.0, size=n)`` (0 + 1 * u), and
+        # prefix-stable: the first ``m`` doubles of a draw of ``n`` are a
+        # draw of ``m`` from the same seed.
+        return np.random.default_rng(seed).random(n)
     return VirtualData(n_elements=n)
 
 
@@ -307,12 +309,20 @@ def latency_vs_size(
     if sizes is None:
         sizes = FIG15_SIZES_V100 if spec.name == "V100" else FIG15_SIZES_P100
     # One input per size, shared by every method: the methods only read the
-    # data, and regenerating 8M-element arrays per method dominated the
-    # sweep's wall-clock.
-    inputs = [make_input(s, seed) for s in sizes]
+    # data.  The materialized sizes are prefixes of one read-only draw at
+    # the largest of them (make_input's stream is prefix-stable), so the
+    # RNG runs once per sweep instead of once per size.
+    inputs: Dict[int, InputData] = {
+        s: make_input(s, seed) for s in sizes if s > MATERIALIZE_LIMIT_BYTES
+    }
+    materialized = [s for s in sizes if s <= MATERIALIZE_LIMIT_BYTES]
+    if materialized:
+        base = np.asarray(make_input(max(materialized), seed))
+        base.flags.writeable = False
+        inputs.update((s, base[: max(1, s // 8)]) for s in materialized)
     out: Dict[str, List[ReductionResult]] = {}
     for method in methods:
-        out[method] = [_dispatch(spec, method, data, seed) for data in inputs]
+        out[method] = [_dispatch(spec, method, inputs[s], seed) for s in sizes]
     return out
 
 

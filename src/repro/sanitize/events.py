@@ -165,8 +165,9 @@ class SyncMonitor:
     The monitor is installed globally (:func:`install`) for the duration
     of a sanitized run; every hook resolves object identities to stable
     small integers (scope ids, memory ids) so the recorded stream is plain
-    data the happens-before analysis can replay without holding the
-    simulation alive.
+    data the happens-before analysis can replay.  The monitor itself keeps
+    every identified object alive, so an ``id()`` is never reused by a
+    later object while the mapping is live.
 
     ``capture_memory`` gates the per-access shared-memory hooks — the
     ``synccheck`` mode leaves them off so barrier-protocol checking does
@@ -183,12 +184,16 @@ class SyncMonitor:
         self.events: List[SyncEvent] = []
         self.dropped = 0
         self.scopes: Dict[int, ScopeInfo] = {}
-        #: id(scope object) -> scope_id (objects stay alive while recorded).
+        #: id(scope object) -> scope_id.
         self._scope_ids: Dict[int, int] = {}
         #: id(release Signal) -> (scope_id, round_index), for blame mapping.
         self._round_signals: Dict[int, Tuple[int, int]] = {}
         #: id(SharedMemory) -> memory_id.
         self._mem_ids: Dict[int, int] = {}
+        #: Every object whose ``id()`` keys the maps above, held for the
+        #: monitor's lifetime: a freed object's id can be reused by a new
+        #: one, which would then alias the old scope/round/memory.
+        self._keep_alive: List[Any] = []
         #: Blocked-waiter records captured at engine quiescence:
         #: (process_name, wait_kind, target_name, target_obj_id).
         self.deadlocks: List[List[Tuple[str, str, str, int]]] = []
@@ -227,6 +232,7 @@ class SyncMonitor:
             return existing
         sid = len(self.scopes)
         self._scope_ids[id(scope)] = sid
+        self._keep_alive.append(scope)
         try:
             size = int(scope.size)
         except (AttributeError, NotImplementedError):
@@ -249,6 +255,7 @@ class SyncMonitor:
         if mid is None:
             mid = len(self._mem_ids)
             self._mem_ids[id(mem)] = mid
+            self._keep_alive.append(mem)
         return mid
 
     def round_of_signal(self, signal_id: int) -> Optional[Tuple[int, int]]:
@@ -261,6 +268,7 @@ class SyncMonitor:
         """A scope lazily created ``rnd`` (its release signal now exists)."""
         sid = self.scope_id(scope)
         self._round_signals[id(rnd.release)] = (sid, rnd.index)
+        self._keep_alive.append(rnd.release)
         self._emit(
             SyncEvent("round", scope=sid, round=rnd.index, data=rnd.release.name)
         )

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sanitize import events as _sanitize
 from repro.sim.backends.base import register_backend
 from repro.sync.strategies import (
     BarrierStrategy,
@@ -139,6 +140,10 @@ class AnalyticBackend:
             WarpGroup,
         )
 
+        # The closed forms emit no sync events, so a sanitized run would
+        # silently stop checking the ladder; keep the engine's stream.
+        if _sanitize.MONITOR is not None:
+            return "a sanitizer monitor is installed (analytic emits no sync events)"
         # Exact types only: a subclass may override the yield ladders the
         # closed forms were derived from.
         if type(scope) not in (

@@ -43,6 +43,17 @@ def _run_cli(args, fault_plan, cache_dir, timeout=120, extra_env=None):
     )
 
 
+def _kill_group(proc):
+    """SIGKILL the CLI's whole process group: its pool workers and
+    multiprocessing's resource tracker too, which killing the CLI alone
+    would leave behind as orphans."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
+
+
 class TestChaosWorkerKill:
     def test_killed_worker_recovered_under_jobs2(self, tmp_path):
         # Acceptance scenario: a --jobs sweep with an injected worker
@@ -120,6 +131,7 @@ class TestChaosKillMidSweepThenResume:
              "table5", "table4", "--json", "--jobs", "2",
              "--cache-dir", str(tmp_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 60
@@ -139,12 +151,9 @@ class TestChaosKillMidSweepThenResume:
                     )
                 time.sleep(0.05)
             assert finished >= 2, "table5 points never finished"
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            # The mid-sweep SIGKILL, and the clean-up when the wait failed.
+            _kill_group(proc)
 
         resumed = _run_cli(
             ["--resume", str(journal), "--json", "--cache-dir", str(tmp_path)],
@@ -183,6 +192,7 @@ class TestChaosKillMidSweepThenStatus:
              "table5", "table4", "--json", "--jobs", "2", "--shards", "2",
              "--cache-dir", str(tmp_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 60
@@ -202,12 +212,9 @@ class TestChaosKillMidSweepThenStatus:
                     )
                 time.sleep(0.05)
             assert finished >= 2, "table5 points never finished"
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            # The mid-sweep SIGKILL, and the clean-up when the wait failed.
+            _kill_group(proc)
 
         status = _run_cli(["status", str(journal), "--json"], None, tmp_path)
         assert status.returncode == 0, status.stderr

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.paper_data import TABLE6_GBPS
+from repro.reduction import device
 from repro.reduction.baselines import reduce_cub, reduce_cuda_sample
 from repro.reduction.device import (
+    FIG15_SIZES_P100,
+    FIG15_SIZES_V100,
+    MATERIALIZE_LIMIT_BYTES,
     VirtualData,
     bandwidth_table,
     latency_vs_size,
@@ -58,6 +62,18 @@ class TestMakeInput:
     def test_seed_reproducible(self):
         a, b = make_input(1024, seed=1), make_input(1024, seed=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "size",
+        sorted(
+            s for s in set(FIG15_SIZES_V100 + FIG15_SIZES_P100)
+            if s <= MATERIALIZE_LIMIT_BYTES
+        ),
+    )
+    def test_bit_identical_to_uniform_draw(self, size):
+        # make_input's former draw, which Generator.random must reproduce.
+        legacy = np.random.default_rng(0).uniform(0.0, 1.0, size=max(1, size // 8))
+        assert make_input(size, seed=0).tobytes() == legacy.tobytes()
 
 
 class TestImplicitReduction:
@@ -155,6 +171,28 @@ class TestFig15Sweep:
         res = latency_vs_size(v100, methods=("implicit",), sizes=(MB, 16 * MB, GB))
         lats = [r.total_ns for r in res["implicit"]]
         assert lats == sorted(lats)
+
+    def test_inputs_are_prefixes_of_one_read_only_draw(self, v100, monkeypatch):
+        seen = []
+        draws = []
+        make = device.make_input
+
+        def recording_make_input(size, seed=0):
+            draws.append(size)
+            return make(size, seed)
+
+        monkeypatch.setattr(device, "make_input", recording_make_input)
+        monkeypatch.setattr(device, "_dispatch", lambda spec, m, data, seed: seen.append(data))
+        latency_vs_size(v100, methods=("implicit",), seed=3)
+        materialized = [s for s in FIG15_SIZES_V100 if s <= MATERIALIZE_LIMIT_BYTES]
+        assert [d for d in draws if d <= MATERIALIZE_LIMIT_BYTES] == [max(materialized)]
+        arrays = seen[: len(materialized)]
+        base = arrays[-1].base
+        assert base is not None and not base.flags.writeable
+        for size, data in zip(materialized, arrays):
+            assert data.base is base and not data.flags.writeable
+            assert data.tobytes() == make(size, seed=3).tobytes()
+        assert all(isinstance(d, VirtualData) for d in seen[len(materialized):])
 
     def test_all_methods_all_sizes_correct(self, v100):
         res = latency_vs_size(v100, sizes=(MB, 64 * MB))

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.paper_data import TABLE5_CYCLES
+from repro.reduction import warp
 from repro.reduction.warp import (
     WARP_REDUCE_METHODS,
     table5_rows,
     warp_reduce_latency_cycles,
     warp_reduce_value,
 )
+from repro.sanitize import events as sanitize_events
 
 CORRECT_METHODS = tuple(m for m in WARP_REDUCE_METHODS if m != "nosync")
 
@@ -101,6 +103,23 @@ class TestTiming:
     def test_unknown_method_rejected(self, spec):
         with pytest.raises(ValueError):
             warp_reduce_latency_cycles(spec, "magic")
+
+    @pytest.mark.parametrize("method", WARP_REDUCE_METHODS)
+    def test_memoized_latency_equals_a_fresh_simulation(self, spec, method):
+        memo = warp._latency_cycles
+        assert warp_reduce_latency_cycles(spec, method) == memo.__wrapped__(spec, method)
+        hits = memo.cache_info().hits
+        warp_reduce_latency_cycles(spec, method)
+        assert memo.cache_info().hits == hits + 1
+
+    def test_sanitized_run_resimulates(self, spec):
+        warp_reduce_latency_cycles(spec, "tile")  # memoized
+        monitor = sanitize_events.install(sanitize_events.SyncMonitor())
+        try:
+            warp_reduce_latency_cycles(spec, "tile")
+        finally:
+            sanitize_events.uninstall()
+        assert monitor.events
 
 
 class TestTable5Rows:

@@ -1,5 +1,7 @@
 """Integration of the sanitizer with Scenario / CLI / reports / runner."""
 
+import json
+
 import pytest
 
 from repro.experiments.base import ExperimentReport, merge_reports
@@ -172,3 +174,26 @@ class TestStructuredDeadlock:
             ["a", "b"], waiters=[BlockedWaiter("a", "signal", "s", None)]
         )
         assert str(plain) == str(rich)
+
+
+def _sanitized_sweep(capsys, *args):
+    assert cli_main([*args, "--sanitize", "full", "--no-cache", "--json"]) == 0
+    return {r["exp_id"]: r["sanitizer"] for r in json.loads(capsys.readouterr().out)}
+
+
+class TestRegistryCoverage:
+    def test_default_backend_keeps_the_engine_event_stream(self, capsys):
+        # fig5's default points run backend=auto; under a monitor the
+        # analytic closed forms are ineligible, so the sanitizer sees
+        # every event the forced engine run records.
+        default = _sanitized_sweep(capsys, "fig5")["fig5"]
+        engine = _sanitized_sweep(capsys, "fig5", "--backend", "engine")["fig5"]
+        assert default["events"] == engine["events"] > 0
+        assert default["findings"] == engine["findings"] == []
+
+    def test_multigrid_sweeps_have_no_spurious_findings(self, capsys):
+        first = _sanitized_sweep(capsys, "fig7", "fig8")
+        again = _sanitized_sweep(capsys, "fig7", "fig8")
+        for exp_id in ("fig7", "fig8"):
+            assert first[exp_id]["findings"] == again[exp_id]["findings"] == []
+            assert first[exp_id]["events"] == again[exp_id]["events"] > 0

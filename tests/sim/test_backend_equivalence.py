@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenario import Scenario
+from repro.sanitize import events as sanitize_events
 from repro.sim.arch import get_gpu_spec
 from repro.sim.backends import (
     BACKEND_CHOICES,
@@ -227,6 +228,16 @@ class TestEligibilityAndFallback:
         g = WarpGroup(V100, 8, engine=eng)
         reason = BACKENDS["analytic"].ineligible_reason(g, 1, tuple(range(8)))
         assert reason is not None and "engine" in reason
+
+    def test_installed_sanitizer_monitor_makes_every_workload_ineligible(self):
+        g = WarpGroup(V100, 8)
+        assert BACKENDS["analytic"].ineligible_reason(g, 1, tuple(range(8))) is None
+        sanitize_events.install(sanitize_events.SyncMonitor())
+        try:
+            reason = BACKENDS["analytic"].ineligible_reason(g, 1, tuple(range(8)))
+        finally:
+            sanitize_events.uninstall()
+        assert reason is not None and "sanitizer" in reason
 
     def test_ineligible_falls_back_with_single_warning(self):
         reset_fallback_warnings()
