@@ -5,10 +5,11 @@ Runs the paper's hot sync sweeps under each execution backend and, with
 of one pass — the analytic backend's signature is a near-zero event
 count, because eligible sweeps never enter the event loop.
 
-Fig 4 carries no analytic-eligible scopes (its block ladders are
-measured through the cudasim pipeline), so both of its rows exercise the
-engine path; it rides along as the control showing the dispatcher adds
-no overhead where it has nothing to do.
+Table II's warp-sync throughput ladders and Fig 4's block-sync scan run
+the SM-level models of ``sim/sm.py``, whose analytic closed forms replay
+the sync pipe / barrier-unit FIFO without the event loop.  Table II's
+latency rows still run the thread-precise warp executor, so its analytic
+row keeps a small event count; Fig 4's analytic row enters no event loop.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import attach_report, count_engine_events, record_timing
-from repro.experiments.exp_sync import run_fig4, run_fig5, run_sync_methods
+from repro.experiments.exp_sync import (
+    run_fig4,
+    run_fig5,
+    run_sync_methods,
+    run_table2,
+)
 from repro.experiments.scenario import Scenario
 
 BACKENDS = ("engine", "analytic")
@@ -54,7 +60,13 @@ def test_bench_sync_methods_backend(request, benchmark, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bench_fig4_backend(request, benchmark, backend):
-    # fig4 honors the knob but has no analytic-eligible sweeps: both
-    # parametrizations run (and must agree on) the engine path.
     report = _bench(request, benchmark, run_fig4, "fig4", backend, rounds=3)
+    assert report.backend == backend
+    assert report.mean_rel_err < 0.05
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bench_table2_backend(request, benchmark, backend):
+    report = _bench(request, benchmark, run_table2, "table2", backend, rounds=3)
+    assert report.backend == backend
     assert report.mean_rel_err < 0.05

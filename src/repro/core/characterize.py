@@ -77,13 +77,15 @@ def measure_warp_sync_throughput_best(
     group_size: int = 32,
     warp_counts: Sequence[int] = (8, 16, 32, 64),
     repeats: int = 64,
+    backend: Optional[str] = None,
 ) -> float:
     """Best sustained throughput (ops/cycle) over several configurations —
     the Table II protocol ("recording only the highest result")."""
     best = 0.0
     for n_warps in warp_counts:
         r = simulate_warp_sync_throughput(
-            spec, kind, group_size, n_warps=n_warps, repeats=repeats
+            spec, kind, group_size, n_warps=n_warps, repeats=repeats,
+            backend=backend,
         )
         best = max(best, r.throughput_ops_per_cycle)
     return best
@@ -111,33 +113,49 @@ def warp_sync_size_sweep(spec: GPUSpec) -> Dict[str, Dict[int, float]]:
     return {"tile": tile, "coalesced": coalesced}
 
 
-def table2_rows(spec: GPUSpec) -> Dict[str, Dict[str, float]]:
-    """Measure every Table II row on one architecture."""
+def table2_rows(
+    spec: GPUSpec, backend: Optional[str] = None
+) -> Dict[str, Dict[str, float]]:
+    """Measure every Table II row on one architecture.
+
+    ``backend`` routes the throughput and block-sync models
+    (:mod:`repro.sim.sm`); the latency rows always run the warp executor.
+    """
+
+    def throughput(kind: str, group_size: int = 32) -> float:
+        return measure_warp_sync_throughput_best(
+            spec, kind, group_size, backend=backend
+        )
+
     rows: Dict[str, Dict[str, float]] = {}
     rows["tile"] = {
         "latency": measure_warp_sync_latency(spec, "tile", 32),
-        "throughput": measure_warp_sync_throughput_best(spec, "tile"),
+        "throughput": throughput("tile"),
     }
     rows["shuffle_tile"] = {
         "latency": measure_shuffle_latency(spec, "tile"),
-        "throughput": measure_warp_sync_throughput_best(spec, "shuffle_tile"),
+        "throughput": throughput("shuffle_tile"),
     }
     rows["coalesced_partial"] = {
         "latency": measure_warp_sync_latency(spec, "coalesced", 16),
-        "throughput": measure_warp_sync_throughput_best(spec, "coalesced", 16),
+        "throughput": throughput("coalesced", 16),
     }
     rows["coalesced_full"] = {
         "latency": measure_warp_sync_latency(spec, "coalesced", 32),
-        "throughput": measure_warp_sync_throughput_best(spec, "coalesced", 32),
+        "throughput": throughput("coalesced", 32),
     }
     rows["shuffle_coalesced"] = {
         "latency": measure_shuffle_latency(spec, "coalesced"),
-        "throughput": measure_warp_sync_throughput_best(spec, "shuffle_coalesced"),
+        "throughput": throughput("shuffle_coalesced"),
     }
     # Block sync from the per-warp perspective: single-warp latency and
     # saturated per-warp throughput (Fig 4 plateau).
-    sat = simulate_block_sync(spec, warps_per_block=16, n_blocks=4, repeats=8)
-    one = simulate_block_sync(spec, warps_per_block=1, n_blocks=1, repeats=8)
+    sat = simulate_block_sync(
+        spec, warps_per_block=16, n_blocks=4, repeats=8, backend=backend
+    )
+    one = simulate_block_sync(
+        spec, warps_per_block=1, n_blocks=1, repeats=8, backend=backend
+    )
     rows["block_per_warp"] = {
         "latency": one.latency_per_sync_cycles,
         "throughput": sat.per_warp_throughput,
@@ -159,6 +177,7 @@ def block_sync_scan(
     spec: GPUSpec,
     warp_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
     repeats: int = 8,
+    backend: Optional[str] = None,
 ) -> List[BlockSyncPoint]:
     """Fig 4: block-sync latency and per-warp throughput vs warps/SM.
 
@@ -170,7 +189,7 @@ def block_sync_scan(
     for w in warp_counts:
         wpb = min(w, spec.max_threads_per_block // spec.warp_size)
         n_blocks = max(1, w // wpb)
-        r = simulate_block_sync(spec, wpb, n_blocks, repeats=repeats)
+        r = simulate_block_sync(spec, wpb, n_blocks, repeats=repeats, backend=backend)
         points.append(
             BlockSyncPoint(
                 warps_per_sm=w,

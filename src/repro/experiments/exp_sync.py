@@ -84,7 +84,7 @@ def run_table2(scenario: Optional[Scenario] = None) -> ExperimentReport:
     scenario = scenario or PAPER_SCENARIO
     report = ExperimentReport("table2", "Warp-level synchronization (V100 + P100)")
     for spec in scenario.gpu_specs():
-        measured = table2_rows(spec)
+        measured = table2_rows(spec, backend=scenario.backend)
         for row, vals in measured.items():
             paper = TABLE2[spec.name][row]
             report.add(
@@ -100,6 +100,7 @@ def run_table2(scenario: Optional[Scenario] = None) -> ExperimentReport:
         "P100 warp sync latencies of ~1 cycle reflect that Pascal does not "
         "block threads at warp barriers (Section VIII-A)"
     )
+    report.backend = scenario.backend
     return report
 
 
@@ -108,7 +109,7 @@ def run_fig4(scenario: Optional[Scenario] = None) -> ExperimentReport:
     scenario = scenario or PAPER_SCENARIO
     report = ExperimentReport("fig4", "Block synchronization scaling")
     for spec in scenario.gpu_specs():
-        points = block_sync_scan(spec)
+        points = block_sync_scan(spec, backend=scenario.backend)
         sat_paper = TABLE2[spec.name]["block_per_warp"]["throughput"]
         sat_measured = max(p.per_warp_throughput for p in points)
         report.add(
@@ -147,6 +148,7 @@ def run_fig4(scenario: Optional[Scenario] = None) -> ExperimentReport:
                 precision=3,
             )
         )
+    report.backend = scenario.backend
     return report
 
 

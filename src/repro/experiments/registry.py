@@ -73,11 +73,12 @@ class ExperimentSpec:
     # nonzero when a report exceeds it.  ``None`` disables the gate.
     tolerance: Optional[float] = 0.10
     # Execution backends this experiment's driver can route its sweeps
-    # through.  Every driver runs on the event-precise engine; only the
-    # sync-sweep drivers (uniform barrier ladders) also accept the
-    # vectorized analytic backend, and their default scenarios run
-    # ``auto`` (see ``_auto``).  A requested backend outside this set
-    # falls back to the engine with a provenance note.
+    # through.  Every driver runs on the event-precise engine; the drivers
+    # whose sweeps have exact closed forms (uniform barrier ladders, and
+    # the SM-level warp/block sync models of Table II and Fig 4) also
+    # accept the analytic backend, and their default scenarios run
+    # ``auto`` (see ``_auto``).  Other drivers ignore a requested backend:
+    # they run the engine and leave ``report.backend`` unset.
     backends: Tuple[str, ...] = ("engine",)
 
 
@@ -89,13 +90,15 @@ _SPECS: List[ExperimentSpec] = [
     ),
     ExperimentSpec(
         "table2", "Warp-level synchronization (V100 + P100)", run_table2,
-        default_scenarios=_PER_GPU, tags=("warp", "sync", "single-gpu"),
+        default_scenarios=_auto(_PER_GPU), tags=("warp", "sync", "single-gpu"),
         tolerance=0.05,
+        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig4", "Block synchronization scaling", run_fig4,
-        default_scenarios=_PER_GPU, tags=("block", "sync", "single-gpu"),
+        default_scenarios=_auto(_PER_GPU), tags=("block", "sync", "single-gpu"),
         tolerance=0.05,
+        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig5", "Grid synchronization heat-maps", run_fig5,

@@ -7,7 +7,8 @@ implementations ship:
 * ``engine`` — the event-precise discrete-event engine (the default;
   byte-identical to the pre-backend pipeline), and
 * ``analytic`` — numpy-vectorized closed forms for uniform barrier
-  ladders, bit-identical to the engine wherever it is eligible.
+  ladders and the SM-level sync models, bit-identical to the engine
+  wherever it is eligible.
 
 Dispatch rules, the eligibility matrix and the closed-form derivations
 are documented in ``docs/backends.md``.
@@ -23,6 +24,7 @@ from repro.sim.backends.base import (
     get_backend,
     register_backend,
     reset_fallback_warnings,
+    resolve,
 )
 from repro.sim.backends.engine import EngineBackend
 
@@ -37,4 +39,5 @@ __all__ = [
     "get_backend",
     "register_backend",
     "reset_fallback_warnings",
+    "resolve",
 ]

@@ -1,4 +1,6 @@
-"""Closed-form vectorized execution of uniform barrier ladders.
+"""Closed-form vectorized execution of uniform barrier ladders, plus exact
+replays of the two SM-level FIFO models of :mod:`repro.sim.sm` (Table II's
+warp-sync throughput, Fig 4's block sync).
 
 The engine's barrier workloads are *uniform*: every member runs the same
 ``sync()`` ladder with no data-dependent control flow, so the full
@@ -36,7 +38,7 @@ Key engine facts the forms rely on (proved against ``sim/engine.py`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from repro.sync.strategies import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Engine
     from repro.sync.scope import BarrierScope, ScopeRun
 
 __all__ = ["AnalyticBackend"]
@@ -120,6 +123,16 @@ def _staggered_release(
     return c + svc, strategy.detection_lag_ns()
 
 
+# The closed forms emit no sync events, so a sanitized run would
+# silently stop checking the ladder; keep the engine's stream.
+_MONITOR_REASON = "a sanitizer monitor is installed (analytic emits no sync events)"
+_BUSY_REASON = "engine has other pending work (non-uniform schedule)"
+
+
+def _busy(engine: "Engine") -> bool:
+    return bool(engine._live or engine._ready or engine._heap)
+
+
 class AnalyticBackend:
     """Numpy/closed-form execution of eligible barrier workloads."""
 
@@ -140,10 +153,8 @@ class AnalyticBackend:
             WarpGroup,
         )
 
-        # The closed forms emit no sync events, so a sanitized run would
-        # silently stop checking the ladder; keep the engine's stream.
         if _sanitize.MONITOR is not None:
-            return "a sanitizer monitor is installed (analytic emits no sync events)"
+            return _MONITOR_REASON
         # Exact types only: a subclass may override the yield ladders the
         # closed forms were derived from.
         if type(scope) not in (
@@ -181,9 +192,17 @@ class AnalyticBackend:
             # distinct id set is exact.
             if not scope.full_local_participation:
                 return "partial local participation hangs the barrier"
-        engine = scope.engine
-        if engine._live or engine._ready or engine._heap:
-            return "engine has other pending work (non-uniform schedule)"
+        if _busy(scope.engine):
+            return _BUSY_REASON
+        return None
+
+    def sm_ineligible_reason(self, engine: Optional["Engine"]) -> Optional[str]:
+        """Eligibility of the SM-level models in :mod:`repro.sim.sm`: their
+        closed forms replay a fresh (or idle caller-supplied) engine."""
+        if _sanitize.MONITOR is not None:
+            return _MONITOR_REASON
+        if engine is not None and _busy(engine):
+            return _BUSY_REASON
         return None
 
     # -- execution --------------------------------------------------------
@@ -298,6 +317,115 @@ class AnalyticBackend:
                 for m, f in zip(ids, finish.tolist()):
                     trace[(m, r)] = f
         return final
+
+    # -- SM-level models (sim/sm.py) --------------------------------------
+
+    def warp_sync_end_ns(
+        self,
+        t0: float,
+        ii_ns: float,
+        tail_ns: float,
+        n_warps: int,
+        repeats: int,
+    ) -> float:
+        """End time of :func:`repro.sim.sm.simulate_warp_sync_throughput`.
+
+        The sync pipe is a capacity-1 FIFO that every warp re-requests
+        ``tail_ns`` after its previous op retired, so it serves the warps
+        round-robin (a warp's next request always lands behind the
+        requests of the warps served after it).  Max-plus recurrence per
+        grant: ``g = max(ready[w], c); c = g + ii; ready[w] = c + tail``.
+        The last event is the last warp's tail, or its retirement when
+        ``tail_ns == 0`` (the engine then yields no tail timeout).
+        """
+        ready = [t0] * n_warps
+        c = t0
+        for _ in range(repeats):
+            for w in range(n_warps):
+                r = ready[w]
+                c = (r if r > c else c) + ii_ns
+                ready[w] = c + tail_ns
+        return c + tail_ns if tail_ns else c
+
+    def block_sync_end_ns(
+        self,
+        t0: float,
+        service_ns: float,
+        latency_ns: float,
+        warps_per_block: int,
+        n_blocks: int,
+        resident_cap: int,
+        repeats: int,
+    ) -> Optional[float]:
+        """End time of :func:`repro.sim.sm.simulate_block_sync`, or
+        ``None`` when float rounding collapses two event times the replay
+        must keep apart (the caller then runs the engine).
+
+        A virtual-clock replay of the barrier unit's FIFO over the
+        resident slots.  Every live slot holds exactly one pending request
+        keyed like the engine's event order, ``(time, scheduled-at,
+        class[, n])``: a round timeout (class 0, scheduled at the
+        retirement that started it) beats the unit holder's own next
+        request (class 1, scheduled at its grant), and a freed residency
+        slot's next block (class 2, scheduled at the release instant, in
+        release order ``n``) comes after both.  The smallest key goes
+        next: a request is granted at ``g = max(request, unit free)``; a
+        finished block's pending slot release admits a queued block.
+        """
+        # slot: [key, round_start, warps left in round (0 = pending slot
+        # release), rounds left]
+        slots: List[List[Any]] = [
+            [(t0, t0, 2, i), t0, warps_per_block, repeats]
+            for i in range(min(n_blocks, resident_cap))
+        ]
+        waiting = n_blocks - len(slots)
+        admitted = len(slots)
+        c = end = t0
+        while slots:
+            slot = min(slots)
+            r = slot[0][0]
+            if not slot[2]:
+                if waiting:
+                    waiting -= 1
+                    slot[:] = [(r, r, 2, admitted), r, warps_per_block, repeats]
+                    admitted += 1
+                else:
+                    slots.remove(slot)
+                continue
+            g = r if r > c else c
+            c = g + service_ns
+            if c == g:
+                return None
+            if slot[2] > 1:
+                slot[0] = (c, g, 1)
+                slot[2] -= 1
+                continue
+            # The block's last warp of this round retired: the engine's
+            # float expression, verbatim.
+            now = c
+            remaining = latency_ns - (now - slot[1])
+            if remaining > 0:
+                f = now + remaining
+                if f == now:
+                    return None
+                key = (f, now, 0)
+            else:
+                f = now
+                key = (f, g, 1)
+            if slot[3] > 1:
+                slot[0] = key
+                slot[1] = f
+                slot[2] = warps_per_block
+                slot[3] -= 1
+                continue
+            if f > end:
+                end = f
+            if waiting:
+                slot[0] = key
+                slot[2] = 0
+            else:
+                slots.remove(slot)
+        return end
 
     def _commit(
         self,

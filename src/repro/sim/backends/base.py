@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Optional,
     Protocol,
@@ -45,6 +46,7 @@ __all__ = [
     "get_backend",
     "register_backend",
     "reset_fallback_warnings",
+    "resolve",
 ]
 
 #: Concrete backend implementations, in preference order.
@@ -109,6 +111,38 @@ def reset_fallback_warnings() -> None:
     _FALLBACK_WARNED.clear()
 
 
+def resolve(
+    choice: str, ineligible_reason: Callable[[], Optional[str]], subject: str
+) -> str:
+    """Name of the concrete backend that runs one workload under ``choice``.
+
+    ``ineligible_reason`` is only consulted for ``analytic``/``auto``;
+    ``subject`` names the workload in the once-per-(subject, reason)
+    fallback warning that ``analytic`` emits.
+    """
+    if choice == "engine":
+        return "engine"
+    if choice not in BACKEND_CHOICES:
+        raise ValueError(
+            f"unknown backend {choice!r}; available: "
+            f"{', '.join(BACKEND_CHOICES)}"
+        )
+    reason = ineligible_reason()
+    if reason is None:
+        return "analytic"
+    if choice == "analytic":
+        key = (subject, reason)
+        if key not in _FALLBACK_WARNED:
+            _FALLBACK_WARNED.add(key)
+            warnings.warn(
+                f"analytic backend cannot run {subject} "
+                f"({reason}); falling back to the event-precise engine",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+    return "engine"
+
+
 def dispatch(
     scope: "BarrierScope",
     n_syncs: int,
@@ -123,25 +157,9 @@ def dispatch(
     """
     if not isinstance(choice, str):
         return choice.run_rounds(scope, n_syncs, members, collect_trace)
-    if choice == "engine":
-        return BACKENDS["engine"].run_rounds(scope, n_syncs, members, collect_trace)
-    if choice not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown backend {choice!r}; available: "
-            f"{', '.join(BACKEND_CHOICES)}"
-        )
-    analytic = BACKENDS["analytic"]
-    reason = analytic.ineligible_reason(scope, n_syncs, members)
-    if reason is None:
-        return analytic.run_rounds(scope, n_syncs, members, collect_trace)
-    if choice == "analytic":
-        key = (type(scope).__name__, reason)
-        if key not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(key)
-            warnings.warn(
-                f"analytic backend cannot run {type(scope).__name__} "
-                f"({reason}); falling back to the event-precise engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return BACKENDS["engine"].run_rounds(scope, n_syncs, members, collect_trace)
+    name = resolve(
+        choice,
+        lambda: BACKENDS["analytic"].ineligible_reason(scope, n_syncs, members),
+        type(scope).__name__,
+    )
+    return BACKENDS[name].run_rounds(scope, n_syncs, members, collect_trace)

@@ -12,16 +12,26 @@ Two SM-scoped mechanisms drive the paper's single-GPU results:
   per-SM pipeline with an initiation interval; sustained throughput
   saturates at ``1/II`` once enough warps are in flight (the Table II
   throughput protocol: best over all thread/block configurations).
+
+Both models are single FIFO servers with symmetric clients, so besides
+the event engine they have exact closed forms on the analytic backend
+(:meth:`~repro.sim.backends.analytic.AnalyticBackend.warp_sync_end_ns`,
+:meth:`~repro.sim.backends.analytic.AnalyticBackend.block_sync_end_ns`).
+``backend`` takes the same choices as a barrier scope
+(``docs/backends.md``); ``None`` runs the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.sim.arch import GPUSpec
 from repro.sim.engine import Engine, Resource, Timeout
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.backends.analytic import AnalyticBackend
 
 __all__ = [
     "BlockSyncResult",
@@ -43,6 +53,22 @@ def block_sync_latency_cycles(spec: GPUSpec, warps: int) -> float:
         raise ValueError("a block has at least one warp")
     bs = spec.block_sync
     return bs.base_latency_cycles + bs.per_warp_latency_cycles * warps
+
+
+def _analytic(
+    backend: Optional[str], engine: Optional[Engine], subject: str
+) -> Optional["AnalyticBackend"]:
+    """The analytic backend when ``backend`` resolves to it for this run,
+    else ``None`` (run the engine)."""
+    if backend is None:
+        return None
+    from repro.sim.backends import BACKENDS, AnalyticBackend, resolve
+
+    analytic = BACKENDS["analytic"]
+    assert isinstance(analytic, AnalyticBackend)
+    if resolve(backend, lambda: analytic.sm_ineligible_reason(engine), subject) == "engine":
+        return None
+    return analytic
 
 
 @dataclass(frozen=True)
@@ -80,6 +106,7 @@ def simulate_block_sync(
     n_blocks: int,
     repeats: int = 8,
     engine: Optional[Engine] = None,
+    backend: Optional[str] = None,
 ) -> BlockSyncResult:
     """Run ``n_blocks`` blocks of ``warps_per_block`` warps, each executing
     ``repeats`` back-to-back block syncs, on a single SM with residency
@@ -95,18 +122,51 @@ def simulate_block_sync(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    eng = engine or Engine()
     occ = occ_blocks_per_sm(spec, warps_per_block * spec.warp_size)
     resident_cap = max(1, occ.blocks_per_sm)
+    service_ns = spec.cycles_to_ns(spec.block_sync.per_warp_service_cycles)
+    latency_ns = spec.cycles_to_ns(block_sync_latency_cycles(spec, warps_per_block))
+    shape = (warps_per_block, n_blocks, resident_cap, repeats)
+
+    t0 = engine.now if engine is not None else 0.0
+    end = None
+    analytic = _analytic(backend, engine, "simulate_block_sync")
+    if analytic is not None:
+        end = analytic.block_sync_end_ns(t0, service_ns, latency_ns, *shape)
+    if end is None:
+        end = _block_sync_engine(engine or Engine(), service_ns, latency_ns, *shape)
+    elif engine is not None:
+        engine.now = end
+
+    resident = min(n_blocks, resident_cap)
+    return BlockSyncResult(
+        warps_per_block=warps_per_block,
+        n_blocks=n_blocks,
+        repeats=repeats,
+        resident_blocks=resident,
+        active_warps=resident * warps_per_block,
+        total_warps=n_blocks * warps_per_block,
+        total_ns=end - t0,
+        total_cycles=spec.ns_to_cycles(end - t0),
+    )
+
+
+def _block_sync_engine(
+    eng: Engine,
+    service_ns: float,
+    latency_ns: float,
+    warps_per_block: int,
+    n_blocks: int,
+    resident_cap: int,
+    repeats: int,
+) -> float:
+    """Event-precise block-sync run on ``eng``; returns the end time."""
     slots = Resource(eng, capacity=resident_cap, name="sm-block-slots")
     # All resident blocks share the SM's barrier unit: arrivals drain at one
     # service interval each, so per-warp throughput saturates at
     # 1/per_warp_service_cycles no matter how blocks partition the warps
     # (the Fig 4 plateau).  A lone block is latency-bound instead.
     barrier_unit = Resource(eng, capacity=1, name="sm-barrier-unit")
-
-    service_ns = spec.cycles_to_ns(spec.block_sync.per_warp_service_cycles)
-    latency_ns = spec.cycles_to_ns(block_sync_latency_cycles(spec, warps_per_block))
     t_service = Timeout(service_ns)  # immutable: reused across every yield
 
     def block_proc() -> Generator:
@@ -122,22 +182,9 @@ def simulate_block_sync(
                 yield Timeout(remaining)
         slots.release()
 
-    t0 = eng.now
     for b in range(n_blocks):
         eng.process(block_proc(), name=f"block{b}")
-    eng.run()
-
-    resident = min(n_blocks, resident_cap)
-    return BlockSyncResult(
-        warps_per_block=warps_per_block,
-        n_blocks=n_blocks,
-        repeats=repeats,
-        resident_blocks=resident,
-        active_warps=resident * warps_per_block,
-        total_warps=n_blocks * warps_per_block,
-        total_ns=eng.now - t0,
-        total_cycles=spec.ns_to_cycles(eng.now - t0),
-    )
+    return eng.run()
 
 
 @dataclass(frozen=True)
@@ -179,6 +226,7 @@ def simulate_warp_sync_throughput(
     n_warps: int = 64,
     repeats: int = 64,
     engine: Optional[Engine] = None,
+    backend: Optional[str] = None,
 ) -> WarpSyncThroughputResult:
     """Drive ``n_warps`` warps through ``repeats`` dependent sync ops each.
 
@@ -190,10 +238,34 @@ def simulate_warp_sync_throughput(
     if n_warps < 1 or repeats < 1:
         raise ValueError("n_warps and repeats must be >= 1")
     latency_cy, ii_cy = _warp_sync_params(spec, kind, group_size)
-    eng = engine or Engine()
-    pipe = Resource(eng, capacity=1, name="warp-sync-pipe")
     ii_ns = spec.cycles_to_ns(ii_cy)
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))
+
+    t0 = engine.now if engine is not None else 0.0
+    analytic = _analytic(backend, engine, "simulate_warp_sync_throughput")
+    if analytic is None:
+        end = _warp_sync_engine(engine or Engine(), ii_ns, tail_ns, n_warps, repeats)
+    else:
+        end = analytic.warp_sync_end_ns(t0, ii_ns, tail_ns, n_warps, repeats)
+        if engine is not None:
+            engine.now = end
+
+    return WarpSyncThroughputResult(
+        kind=kind,
+        group_size=group_size,
+        n_warps=n_warps,
+        repeats=repeats,
+        total_cycles=spec.ns_to_cycles(end - t0),
+        total_ops=n_warps * repeats,
+    )
+
+
+def _warp_sync_engine(
+    eng: Engine, ii_ns: float, tail_ns: float, n_warps: int, repeats: int
+) -> float:
+    """Event-precise warp-sync throughput run on ``eng``; returns the end
+    time."""
+    pipe = Resource(eng, capacity=1, name="warp-sync-pipe")
     t_ii = Timeout(ii_ns)
     t_tail = Timeout(tail_ns) if tail_ns else None
 
@@ -205,16 +277,6 @@ def simulate_warp_sync_throughput(
             if t_tail is not None:
                 yield t_tail
 
-    t0 = eng.now
     for w in range(n_warps):
         eng.process(warp_proc(), name=f"warp{w}")
-    eng.run()
-
-    return WarpSyncThroughputResult(
-        kind=kind,
-        group_size=group_size,
-        n_warps=n_warps,
-        repeats=repeats,
-        total_cycles=spec.ns_to_cycles(eng.now - t0),
-        total_ops=n_warps * repeats,
-    )
+    return eng.run()

@@ -35,7 +35,7 @@ def _without_backend(report) -> str:
 
 def test_defaults_run_auto_exactly_where_analytic_is_supported():
     assert {e for e, _ in ANALYTIC_POINTS} == {
-        "fig5", "fig7", "fig8", "fig9", "sync_methods",
+        "fig5", "fig7", "fig8", "fig9", "sync_methods", "table2", "fig4",
     }
     for exp_id, spec in EXPERIMENTS.items():
         want = "auto" if "analytic" in spec.backends else None
@@ -52,13 +52,17 @@ def test_defaults_run_auto_exactly_where_analytic_is_supported():
 def test_default_report_equals_engine_report(exp_id, scenario, monkeypatch):
     analytic = BACKENDS["analytic"]
     closed_forms = []
-    run_rounds = analytic.run_rounds
 
-    def counting(*args, **kwargs):
-        closed_forms.append(1)
-        return run_rounds(*args, **kwargs)
+    def counting(closed_form):
+        def count(*args, **kwargs):
+            closed_forms.append(closed_form.__name__)
+            return closed_form(*args, **kwargs)
 
-    monkeypatch.setattr(analytic, "run_rounds", counting)
+        return count
+
+    # Barrier ladders and the SM-level warp/block sync models.
+    for name in ("run_rounds", "warp_sync_end_ns", "block_sync_end_ns"):
+        monkeypatch.setattr(analytic, name, counting(getattr(analytic, name)))
     auto = execute_point(exp_id, scenario, use_cache=False)
     assert closed_forms, "the default point never reached the analytic backend"
     monkeypatch.undo()

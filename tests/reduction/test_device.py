@@ -197,3 +197,30 @@ class TestFig15Sweep:
     def test_all_methods_all_sizes_correct(self, v100):
         res = latency_vs_size(v100, sizes=(MB, 64 * MB))
         assert all(r.correct for series in res.values() for r in series)
+
+    def test_methods_share_functional_sums_bit_identically(self, v100, monkeypatch):
+        # Every method's value/expected equals the uncached functions on
+        # the same input, while each input is summed and split once.
+        sizes = (100_000, MB, 128 * MB)
+        n_blocks = 2 * v100.sm_count
+        split = []
+        partials = device._partials
+
+        def counting_partials(data, n):
+            if isinstance(data, np.ndarray):  # virtual inputs are closed forms
+                split.append(data.nbytes)
+            return partials(data, n)
+
+        monkeypatch.setattr(device, "_partials", counting_partials)
+        res = latency_vs_size(v100, sizes=sizes, seed=4)
+        monkeypatch.undo()
+        assert sorted(split) == [100_000, MB]
+        assert device._SHARED is None
+        for method in device.REDUCTION_METHODS:
+            for size, r in zip(sizes, res[method]):
+                data = make_input(size, seed=4)
+                assert r.method == method and r.correct
+                assert r.expected == device._expected_sum(data), (method, size)
+                assert r.value == float(device._partials(data, n_blocks).sum()), (
+                    method, size,
+                )

@@ -14,22 +14,30 @@ Ineligible workloads must fall back to the engine: silently under
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenario import Scenario
 from repro.sanitize import events as sanitize_events
-from repro.sim.arch import get_gpu_spec
+from repro.sim.arch import BlockSyncCalib, get_gpu_spec
 from repro.sim.backends import (
     BACKEND_CHOICES,
     BACKENDS,
     get_backend,
     reset_fallback_warnings,
 )
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Timeout
+from repro.sim.occupancy import blocks_per_sm
+from repro.sim.sm import (
+    block_sync_latency_cycles,
+    simulate_block_sync,
+    simulate_warp_sync_throughput,
+)
 from repro.sync.groups import (
     BlockGroup,
     GridGroup,
@@ -201,6 +209,235 @@ class TestMultiGridEquivalence:
             ),
             1,
         )
+
+
+@contextmanager
+def closed_form_calls(name):
+    """Record what the analytic backend's SM closed form ``name`` returns."""
+    analytic = BACKENDS["analytic"]
+    real = getattr(analytic, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    setattr(analytic, name, spy)  # instance attribute shadows the method
+    try:
+        yield calls
+    finally:
+        delattr(analytic, name)
+
+
+def assert_sm_identical(simulate, closed_form, *args, t0=0.0, **kwargs):
+    """Run one SM model on both backends from the same idle engine clock:
+    the analytic result must come from the closed form and equal the
+    engine's float for float."""
+    e_eng, e_ana = Engine(), Engine()
+    e_eng.now = e_ana.now = t0
+    ref = simulate(*args, engine=e_eng, backend="engine", **kwargs)
+    with closed_form_calls(closed_form) as calls:
+        got = simulate(*args, engine=e_ana, backend="analytic", **kwargs)
+    assert len(calls) == 1 and calls[0] is not None, "closed form did not run"
+    assert got.total_cycles == ref.total_cycles  # bit-identical
+    assert got == ref
+    assert e_ana.now == e_eng.now
+    return got
+
+
+WARP_KINDS = [
+    ("tile", 32),
+    ("shuffle_tile", 32),
+    ("coalesced", 16),
+    ("coalesced", 32),
+    ("shuffle_coalesced", 32),
+]
+START = st.sampled_from([0.0, 1.0, 92.0, 12345.678])
+
+
+class TestSMModelEquivalence:
+    """Table II / Fig 4: the SM-level warp-sync and block-sync models."""
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        kind=st.sampled_from(WARP_KINDS),
+        n_warps=st.integers(min_value=1, max_value=80),
+        repeats=st.integers(min_value=1, max_value=40),
+        t0=START,
+    )
+    @example(gpu="V100", kind=("tile", 32), n_warps=1, repeats=64, t0=0.0)
+    @example(gpu="P100", kind=("coalesced", 16), n_warps=64, repeats=1, t0=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_warp_sync_throughput(self, gpu, kind, n_warps, repeats, t0):
+        assert_sm_identical(
+            simulate_warp_sync_throughput, "warp_sync_end_ns",
+            SPECS[gpu], kind[0], kind[1], n_warps=n_warps, repeats=repeats,
+            t0=t0,
+        )
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        throughput=st.floats(min_value=0.05, max_value=2.0),
+        latency_share=st.floats(min_value=0.0, max_value=1.0),
+        n_warps=st.integers(min_value=1, max_value=40),
+        repeats=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warp_sync_without_tail(
+        self, gpu, throughput, latency_share, n_warps, repeats
+    ):
+        # latency <= II: the engine yields no tail timeout (tail_ns == 0),
+        # a regime no stock warp-sync kind reaches.
+        latency = latency_share / throughput
+        assert max(0.0, latency - 1.0 / throughput) == 0.0
+        ws = dataclasses.replace(
+            SPECS[gpu].warp_sync, tile_latency=latency, tile_throughput=throughput
+        )
+        spec = dataclasses.replace(SPECS[gpu], warp_sync=ws)
+        assert_sm_identical(
+            simulate_warp_sync_throughput, "warp_sync_end_ns",
+            spec, "tile", 32, n_warps=n_warps, repeats=repeats,
+        )
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        wpb=st.integers(min_value=1, max_value=32),
+        n_blocks=st.integers(min_value=1, max_value=80),
+        repeats=st.integers(min_value=1, max_value=8),
+        t0=START,
+    )
+    @example(gpu="V100", wpb=1, n_blocks=1, repeats=1, t0=0.0)
+    # Rounding-sensitive: only the engine's verbatim timeout expression
+    # ``now + (latency - (now - round_start))`` lands on its end time.
+    @example(gpu="P100", wpb=1, n_blocks=15, repeats=1, t0=92.0)
+    @settings(max_examples=60, deadline=None)
+    def test_block_sync(self, gpu, wpb, n_blocks, repeats, t0):
+        assert_sm_identical(
+            simulate_block_sync, "block_sync_end_ns",
+            SPECS[gpu], wpb, n_blocks, repeats=repeats, t0=t0,
+        )
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        wpb=st.sampled_from([1, 2, 8, 16, 32]),
+        queued=st.integers(min_value=1, max_value=40),
+        repeats=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_sync_oversubscribed(self, gpu, wpb, queued, repeats):
+        # n_blocks > resident cap: queued blocks wait for residency slots.
+        spec = SPECS[gpu]
+        cap = blocks_per_sm(spec, wpb * spec.warp_size).blocks_per_sm
+        r = assert_sm_identical(
+            simulate_block_sync, "block_sync_end_ns",
+            spec, wpb, cap + queued, repeats=repeats,
+        )
+        assert r.resident_blocks == cap < r.n_blocks
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        wpb=st.sampled_from([8, 16, 32]),
+        waves=st.integers(min_value=1, max_value=4),
+        repeats=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_sync_service_bound_rounds(self, gpu, wpb, waves, repeats):
+        # >= 64 resident warps: a round's service span reaches the sync
+        # latency, so rounds end without a timeout (remaining <= 0).
+        spec = SPECS[gpu]
+        n_blocks = waves * (64 // wpb)
+        resident = min(n_blocks, blocks_per_sm(spec, wpb * spec.warp_size).blocks_per_sm)
+        span = resident * wpb * spec.block_sync.per_warp_service_cycles
+        assert span >= block_sync_latency_cycles(spec, wpb)
+        assert_sm_identical(
+            simulate_block_sync, "block_sync_end_ns",
+            spec, wpb, n_blocks, repeats=repeats,
+        )
+
+    @given(
+        base=st.integers(min_value=0, max_value=60),
+        per_warp=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        service=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+        wpb=st.sampled_from([1, 2, 3, 4, 8, 32]),
+        n_blocks=st.integers(min_value=1, max_value=70),
+        repeats=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_sync_tied_event_times(
+        self, base, per_warp, service, wpb, n_blocks, repeats
+    ):
+        # A 1 GHz clock and dyadic costs put many requests, timeouts and
+        # slot releases at the same instant: the replay's tie order must
+        # be the engine's.
+        spec = dataclasses.replace(
+            V100,
+            freq_mhz=1000.0,
+            block_sync=BlockSyncCalib(float(base), per_warp, service),
+        )
+        assert_sm_identical(
+            simulate_block_sync, "block_sync_end_ns",
+            spec, wpb, n_blocks, repeats=repeats,
+        )
+
+
+class TestSMModelFallback:
+    """The SM closed forms decline exactly where the scope forms do."""
+
+    @staticmethod
+    def busy_engine():
+        eng = Engine()
+
+        def other_work():
+            yield Timeout(250.0)
+
+        eng.process(other_work(), name="other-work")
+        return eng
+
+    @pytest.mark.parametrize(
+        "simulate, closed_form, args",
+        [
+            (simulate_block_sync, "block_sync_end_ns", (V100, 8, 5)),
+            (simulate_warp_sync_throughput, "warp_sync_end_ns", (V100, "tile", 32)),
+        ],
+    )
+    def test_busy_caller_engine_runs_the_engine(self, simulate, closed_form, args):
+        reset_fallback_warnings()
+        ref = simulate(*args, engine=self.busy_engine())
+        with closed_form_calls(closed_form) as calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = simulate(*args, engine=self.busy_engine(), backend="analytic")
+                again = simulate(*args, engine=self.busy_engine(), backend="analytic")
+                auto = simulate(*args, engine=self.busy_engine(), backend="auto")
+        assert calls == []
+        assert got == again == auto == ref
+        fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallbacks) == 1 and "pending work" in str(fallbacks[0].message)
+        reset_fallback_warnings()
+
+    @pytest.mark.parametrize(
+        "simulate, closed_form, args",
+        [
+            (simulate_block_sync, "block_sync_end_ns", (P100, 32, 4)),
+            (simulate_warp_sync_throughput, "warp_sync_end_ns", (P100, "coalesced", 16)),
+        ],
+    )
+    def test_sanitizer_monitor_runs_the_engine(self, simulate, closed_form, args):
+        ref = simulate(*args)
+        sanitize_events.install(sanitize_events.SyncMonitor())
+        try:
+            with closed_form_calls(closed_form) as calls:
+                got = simulate(*args, backend="auto")
+        finally:
+            sanitize_events.uninstall()
+        assert calls == []
+        assert got == ref
+
+    def test_unknown_backend_name_fails_listing_choices(self):
+        with pytest.raises(ValueError, match="engine, analytic, auto"):
+            simulate_block_sync(V100, 4, 2, backend="bogus")
+        with pytest.raises(ValueError, match="engine, analytic, auto"):
+            simulate_warp_sync_throughput(V100, "tile", backend="bogus")
 
 
 class TestEligibilityAndFallback:
